@@ -30,10 +30,10 @@ Detected hazards:
   on a block something still holds pinned.
 - **Unannounced read** (:class:`UnannouncedReadError`): a demand miss
   inside a ``cat="kernel"`` span on a block the kernel neither
-  announced via ``prefetch()`` nor wrote via ``put()``.  Only enforced
-  for kernels that participate in the hint protocol (made at least one
-  announcement in the span): kernels reading operands from a foreign
-  store legitimately skip hinting altogether.
+  announced via ``prefetch()`` nor wrote via ``put()``/``put_many()``.
+  Only enforced for kernels that participate in the hint protocol
+  (made at least one announcement in the span): kernels reading
+  operands from a foreign store legitimately skip hinting altogether.
 - **Cross-thread unpin** (:class:`CrossThreadUnpinError`): a worker
   releases a pin some *other* thread took.  Pins are ownership — the
   pinning thread is the one relying on the frame staying resident, so
@@ -207,11 +207,13 @@ class SanitizingBufferPool(BufferPool):
             frames[-1].announced.update(block_ids)
         return super().prefetch(block_ids)
 
-    def put(self, block_id: int, data: np.ndarray) -> None:
+    def put_many(self, items) -> None:
+        # put() delegates here, so this records single puts too.
+        items = list(items)
         frames = self._kernel_frames()
         if frames:
-            frames[-1].wrote.add(block_id)
-        super().put(block_id, data)
+            frames[-1].wrote.update(bid for bid, _ in items)
+        super().put_many(items)
 
     def get(self, block_id: int, *, for_write: bool = False
             ) -> np.ndarray:

@@ -66,9 +66,10 @@ class IOStats:
       block size — the byte axis the TritanDB-style compressed-storage
       follow-on will decouple from block counts).
     - ``syscalls``: real I/O system calls issued (``pread``/``pwrite``/
-      ``fsync``/``msync``).  Zero on the memory backend; on the
-      ``pread`` backend this is the number the scheduler's coalescing
-      visibly shrinks.
+      ``fsync``/``msync``, and the ``ftruncate``/remap that grows a
+      page file).  Zero on the memory backend; on the ``pread``
+      backend this is the number the scheduler's coalescing visibly
+      shrinks.
 
     The compression-era counters (schema v3) decouple the byte axis
     from block counts for codec-compressed tiles (see

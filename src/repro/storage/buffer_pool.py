@@ -33,7 +33,9 @@ pin counts for the one hazard the big lock cannot see: a caller
 mutating a frame's *contents* in place while an eviction or flush is
 writing that frame back.  Internal writers (``put``'s in-place
 overwrite, dirty writeback in ``flush``/eviction) take the frame's
-latch; external mutators should wrap their writes in
+latch — ``put_many`` and prefetch installs hold their dirty victims'
+latches from eviction until the victims' one batched write-back —
+and external mutators should wrap their writes in
 ``with pool.latched(bid): ...``.  Lock ordering is strictly
 ``pool.lock → latch``; latch holders must not call pool methods from
 other threads' perspective — the latch is the innermost lock.
@@ -45,7 +47,7 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Container, Iterable, Iterator
 
 import numpy as np
 
@@ -65,7 +67,7 @@ class ReplacementPolicy:
     def on_remove(self, key: int) -> None:
         raise NotImplementedError
 
-    def choose_victim(self, pinned: set[int]) -> int:
+    def choose_victim(self, pinned: Container[int]) -> int:
         """Return the key of the frame to evict (never a pinned one)."""
         raise NotImplementedError
 
@@ -85,7 +87,7 @@ class LRUPolicy(ReplacementPolicy):
     def on_remove(self, key: int) -> None:
         self._order.pop(key, None)
 
-    def choose_victim(self, pinned: set[int]) -> int:
+    def choose_victim(self, pinned: Container[int]) -> int:
         for key in self._order:
             if key not in pinned:
                 return key
@@ -119,7 +121,7 @@ class ClockPolicy(ReplacementPolicy):
             else:
                 self._hand = 0
 
-    def choose_victim(self, pinned: set[int]) -> int:
+    def choose_victim(self, pinned: Container[int]) -> int:
         if not self._keys:
             raise RuntimeError("buffer pool exhausted: no frames")
         spins = 0
@@ -313,10 +315,8 @@ class BufferPool:
         block stayed resident; callers treat them as read-only.
         """
         with self.lock:
-            missing: list[int] = []
-            for bid in block_ids:
-                if bid not in self._frames and bid not in missing:
-                    missing.append(bid)
+            missing = [bid for bid in dict.fromkeys(block_ids)
+                       if bid not in self._frames]
             fetched = self.scheduler.fetch(missing) if missing else {}
             out: list[np.ndarray] = []
             for bid in block_ids:
@@ -355,11 +355,7 @@ class BufferPool:
         with self.lock:
             if not self.scheduler.enabled:
                 return 0
-            want: list[int] = []
-            for bid in block_ids:
-                if bid not in self._frames and bid not in want:
-                    want.append(bid)
-            want = self._clip_speculation(want)
+            want = self._clip_speculation(list(dict.fromkeys(block_ids)))
             if not want:
                 return 0
             fetched = self.scheduler.fetch(want, n_speculative=len(want))
@@ -395,14 +391,20 @@ class BufferPool:
             self._install_prefetched(fetched)
 
     def _install_prefetched(self, fetched: dict[int, np.ndarray]) -> None:
-        for bid, frame in fetched.items():
-            if bid in self._frames:
-                continue
-            self._ensure_room()
-            self._frames[bid] = frame
-            self.policy.on_insert(bid)
-            self._prefetched.add(bid)
-            self.stats.prefetched += 1
+        # The batch is already read, so the dirty victims its installs
+        # evict can leave together.
+        evicted: list[tuple[int, np.ndarray, threading.RLock]] = []
+        try:
+            for bid, frame in fetched.items():
+                if bid in self._frames:
+                    continue
+                self._ensure_room(evicted)
+                self._frames[bid] = frame
+                self.policy.on_insert(bid)
+                self._prefetched.add(bid)
+                self.stats.prefetched += 1
+        finally:
+            self._write_back_evicted(evicted)
 
     def _note_prefetch_hit(self, block_id: int) -> None:
         if block_id in self._prefetched:
@@ -416,6 +418,59 @@ class BufferPool:
         Used when a page is fully overwritten (e.g. appending a fresh tile):
         no read I/O should be charged for data that will be clobbered.
         """
+        self.put_many([(block_id, data)])
+
+    def put_many(self, items: Iterable[tuple[int, np.ndarray]]) -> None:
+        """:meth:`put` for several ``(block_id, data)`` pairs at once.
+
+        Hit/miss and replacement accounting is per block, exactly as a
+        loop of ``put``.  Dirty victims evicted to make room are handed
+        to one ``scheduler.write_back`` before the call returns, so
+        adjacent victims share a device call; each victim's latch is
+        held from its eviction to that write-back (as :meth:`flush`
+        holds them), and nothing is read from the device in between,
+        so no reader can see a victim's stale on-device copy.
+        """
+        bufs = [(bid, self._block_buffer(data)) for bid, data in items]
+        with self.lock:
+            evicted: list[tuple[int, np.ndarray, threading.RLock]] = []
+            try:
+                for block_id, buf in bufs:
+                    if block_id in self._frames:
+                        with self.latched(block_id):
+                            self._frames[block_id][:] = buf
+                        self.policy.on_access(block_id)
+                        self.stats.hits += 1
+                        # A full overwrite is not a use of the
+                        # prefetched contents.
+                        self._prefetched.discard(block_id)
+                    else:
+                        self.stats.misses += 1
+                        self._ensure_room(evicted)
+                        self._frames[block_id] = buf.copy()
+                        self.policy.on_insert(block_id)
+                    self._dirty.add(block_id)
+            finally:
+                self._write_back_evicted(evicted)
+
+    def _write_back_evicted(self, evicted: list) -> None:
+        """Write the dirty victims ``_ensure_room(evicted)`` collected
+        back in one scheduler call, then release their latches (taken
+        at eviction).  The caller holds ``self.lock`` and reads nothing
+        from the device between the evictions and this call: a
+        victim's device copy is stale until then."""
+        if not evicted:
+            return
+        try:
+            self.scheduler.write_back(
+                [(bid, frame) for bid, frame, _ in evicted])
+            self.stats.dirty_writebacks += len(evicted)
+        finally:
+            for _, _, latch in evicted:
+                latch.release()
+
+    def _block_buffer(self, data: np.ndarray) -> np.ndarray:
+        """``data`` as bytes, zero-padded to one block."""
         buf = np.asarray(data, dtype=np.uint8)
         if buf.size > self.device.block_size:
             raise ValueError("data exceeds block size")
@@ -423,21 +478,7 @@ class BufferPool:
             padded = np.zeros(self.device.block_size, dtype=np.uint8)
             padded[:buf.size] = buf
             buf = padded
-        with self.lock:
-            if block_id in self._frames:
-                with self.latched(block_id):
-                    self._frames[block_id][:] = buf
-                self.policy.on_access(block_id)
-                self.stats.hits += 1
-                # A full overwrite is not a use of the prefetched
-                # contents.
-                self._prefetched.discard(block_id)
-            else:
-                self.stats.misses += 1
-                self._ensure_room()
-                self._frames[block_id] = buf.copy()
-                self.policy.on_insert(block_id)
-            self._dirty.add(block_id)
+        return buf
 
     def mark_dirty(self, block_id: int) -> None:
         with self.lock:
@@ -522,17 +563,25 @@ class BufferPool:
             self.scheduler.reset()
 
     # ------------------------------------------------------------------
-    def _ensure_room(self) -> None:
+    def _ensure_room(self, deferred: list | None = None) -> None:
         # Caller holds self.lock; the CLOCK/LRU sweep and the victim's
         # dirty writeback run entirely inside it, with the victim's
         # latch taken around the device write so an in-place mutator
-        # (pool.latched) can never race the writeback copy.
+        # (pool.latched) can never race the writeback copy.  With
+        # ``deferred`` the write is left to the caller: the victim's
+        # (id, frame, acquired latch) is appended instead.
         while len(self._frames) >= self.capacity:
-            victim = self.policy.choose_victim(set(self._pinned))
+            victim = self.policy.choose_victim(self._pinned.keys())
             if victim in self._dirty:
-                with self.latched(victim):
-                    self.device.write_block(victim, self._frames[victim])
-                self.stats.dirty_writebacks += 1
+                if deferred is None:
+                    with self.latched(victim):
+                        self.device.write_block(victim,
+                                                self._frames[victim])
+                    self.stats.dirty_writebacks += 1
+                else:
+                    latch = self._latch(victim)
+                    latch.acquire()
+                    deferred.append((victim, self._frames[victim], latch))
                 self._dirty.discard(victim)
             if victim in self._prefetched:
                 self._prefetched.discard(victim)

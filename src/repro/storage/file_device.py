@@ -92,7 +92,11 @@ class FileBlockDevice(BlockDevice):
         self.direct = bool(direct and mode == "pread"
                            and block_size % _DIRECT_ALIGN == 0)
         self._fd = self._open_fd()
-        self._load_meta()
+        # The device is the file's only writer, so its length is read
+        # once here and tracked by _ensure_capacity from then on.
+        size = os.fstat(self._fd).st_size
+        self._size_blocks = size // block_size
+        self._load_meta(size)
 
     # ------------------------------------------------------------------
     # Setup / teardown
@@ -110,14 +114,13 @@ class FileBlockDevice(BlockDevice):
     def meta_path(self) -> str:
         return self.path + META_SUFFIX
 
-    def _load_meta(self) -> None:
+    def _load_meta(self, size: int) -> None:
         try:
             with open(self.meta_path) as fh:
                 meta = json.loads(fh.read())
         except FileNotFoundError:
             # No sidecar: a raw page file still reopens — every existing
             # block stays addressable, there is just no manifest.
-            size = os.fstat(self._fd).st_size
             self._next_block_id = -(-size // self.block_size)
             return
         if meta.get("block_size") != self.block_size:
@@ -175,18 +178,18 @@ class FileBlockDevice(BlockDevice):
     # ------------------------------------------------------------------
     # Capacity management
     # ------------------------------------------------------------------
-    def _file_blocks(self) -> int:
-        return os.fstat(self._fd).st_size // self.block_size
-
     def _ensure_capacity(self, n_blocks: int) -> None:
         """Grow the file (extent-rounded) to cover ``n_blocks`` blocks."""
-        have = self._file_blocks()
-        if n_blocks <= have:
+        if n_blocks <= self._size_blocks:
             return
         want = -(-n_blocks // EXTENT_BLOCKS) * EXTENT_BLOCKS
         os.ftruncate(self._fd, want * self.block_size)
+        self.stats.syscalls += 1
+        self._size_blocks = want
         if self.mode == "mmap" and self._mm is not None:
+            # mmap.resize truncates the file again, then remaps.
             self._mm.resize(want * self.block_size)
+            self.stats.syscalls += 1
 
     def _mapping(self, upto_block: int) -> mmap.mmap:
         self._ensure_capacity(upto_block)
@@ -303,7 +306,7 @@ class FileBlockDevice(BlockDevice):
     def resident_blocks(self) -> int:
         """Blocks backed by real file bytes (the file is zero-filled by
         extension, so this counts allocated-and-extended, not written)."""
-        return min(self._next_block_id, self._file_blocks())
+        return min(self._next_block_id, self._size_blocks)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"FileBlockDevice(path={self.path!r}, mode={self.mode!r}"

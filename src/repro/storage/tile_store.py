@@ -296,6 +296,7 @@ class TiledMatrix:
         self.file = PageFile(store.device, name=name)
         self.file.allocate_pages(
             self.grid[0] * self.grid[1] * self.pages_per_tile)
+        self._index_blocks()
 
     @classmethod
     def _attach(cls, store: "ArrayStore", name: str,
@@ -318,7 +319,22 @@ class TiledMatrix:
         mat.pages_per_tile = -(-th * tw * mat.dtype.itemsize
                                // store.device.block_size)
         mat.file = PageFile.attach(store.device, name, entry["pages"])
+        mat._index_blocks()
         return mat
+
+    def _index_blocks(self) -> None:
+        """Build the tile->block table: ``_blocks[ti, tj]`` holds the
+        device blocks of tile (ti, tj)'s pages in page order.  The page
+        map never changes once allocated, so every block lookup indexes
+        this table instead of walking linearization and page map."""
+        lin, ppt = self.linearization, self.pages_per_tile
+        positions = np.array([[lin.index(ti, tj)
+                               for tj in range(self.grid[1])]
+                              for ti in range(self.grid[0])],
+                             dtype=np.int64)
+        pages = positions[:, :, None] * ppt + np.arange(ppt)
+        self._blocks = np.asarray(self.file.page_map,
+                                  dtype=np.int64)[pages]
 
     # ------------------------------------------------------------------
     def tile_bounds(self, ti: int, tj: int) -> tuple[int, int, int, int]:
@@ -330,10 +346,15 @@ class TiledMatrix:
         return (r0, min(r0 + th, self.shape[0]),
                 c0, min(c0 + tw, self.shape[1]))
 
-    def _tile_pages(self, ti: int, tj: int) -> range:
-        pos = self.linearization.index(ti, tj)
-        first = pos * self.pages_per_tile
-        return range(first, first + self.pages_per_tile)
+    def _tile_span(self, r0: int, r1: int, c0: int, c1: int
+                   ) -> tuple[int, int, int, int]:
+        """Tile-grid ranges ``(ti0, ti1, tj0, tj1)`` covering the
+        rectangle (r0:r1, c0:c1)."""
+        if not (0 <= r0 <= r1 <= self.shape[0]
+                and 0 <= c0 <= c1 <= self.shape[1]):
+            raise IndexError(f"rectangle ({r0}:{r1}, {c0}:{c1}) out of range")
+        th, tw = self.tile_shape
+        return r0 // th, -(-r1 // th), c0 // tw, -(-c1 // tw)
 
     def tile_blocks(self, ti: int, tj: int) -> list[int]:
         """Device block keys backing tile (ti, tj) — the prefetch unit.
@@ -342,25 +363,40 @@ class TiledMatrix:
         payload occupies, and a never-written compressed tile reports
         none (its read is pure zeros, no I/O).
         """
-        pages = self._tile_pages(ti, tj)
+        self._check_tile(ti, tj)
+        blocks = self._blocks[ti, tj]
         if self.codec.name != "raw":
             comp = self.tile_dir.get(self.linearization.index(ti, tj))
             if comp is None:
                 return []
             if comp > 0:
-                nb = -(-comp // self.store.device.block_size)
-                pages = pages[:nb]
-        return self.file.blocks_of(pages)
+                blocks = blocks[:-(-comp // self.store.device.block_size)]
+        return blocks.tolist()
 
     def submatrix_blocks(self, r0: int, r1: int, c0: int, c1: int
                          ) -> list[int]:
         """Device block keys for every tile covering the rectangle."""
-        th, tw = self.tile_shape
-        blocks: list[int] = []
-        for ti in range(r0 // th, -(-r1 // th) if r1 else 0):
-            for tj in range(c0 // tw, -(-c1 // tw) if c1 else 0):
-                blocks.extend(self.tile_blocks(ti, tj))
-        return blocks
+        ti0, ti1, tj0, tj1 = self._tile_span(r0, r1, c0, c1)
+        return self._grid_blocks(
+            ti0, tj0, np.ones((ti1 - ti0, tj1 - tj0), dtype=bool))
+
+    def _grid_blocks(self, ti0: int, tj0: int,
+                     mask: np.ndarray) -> list[int]:
+        """Device blocks of the tiles ``mask`` selects on the grid from
+        (ti0, tj0), tile by tile in row-major order (codec-aware, as
+        :meth:`tile_blocks`)."""
+        if self.codec.name == "raw":
+            a, b = mask.shape
+            return self._blocks[ti0: ti0 + a,
+                                tj0: tj0 + b][mask].ravel().tolist()
+        return [bid for ti, tj in self._grid_coords(ti0, tj0, mask)
+                for bid in self.tile_blocks(ti, tj)]
+
+    @staticmethod
+    def _grid_coords(ti0: int, tj0: int,
+                     mask: np.ndarray) -> list[tuple[int, int]]:
+        tis, tjs = np.nonzero(mask)
+        return list(zip((tis + ti0).tolist(), (tjs + tj0).tolist()))
 
     def read_tile(self, ti: int, tj: int) -> np.ndarray:
         """Read tile (ti, tj) as a 2-D array (clipped at edges)."""
@@ -376,25 +412,34 @@ class TiledMatrix:
             stats.bytes_logical += logical
             stats.bytes_compressed += compressed
 
-    def _read_raw_tile(self, ti: int, tj: int) -> np.ndarray:
-        """Assemble the zero-padded (th, tw) tile from its full page
-        span (the codec-unaware path)."""
+    def _read_raw_tiles(self, blocks: list[int]) -> np.ndarray:
+        """Whole raw tiles from one pool call over their pages
+        (``pages_per_tile`` ids per tile, as the table lists them): a
+        fresh ``(n, th, tw)`` array of zero-padded tiles."""
         th, tw = self.tile_shape
-        per_page = self.store.device.block_size // self.dtype.itemsize
-        flat = np.empty(self.pages_per_tile * per_page, dtype=self.dtype)
-        frames = self.store.pool.get_many(
-            self.file.blocks_of(self._tile_pages(ti, tj)))
-        for k, frame in enumerate(frames):
-            flat[k * per_page: (k + 1) * per_page] = \
-                frame.view(self.dtype)
-        return flat[: th * tw].reshape(th, tw)
+        per_tile = (self.pages_per_tile * self.store.device.block_size
+                    // self.dtype.itemsize)
+        flat = np.concatenate(
+            self.store.pool.get_many(blocks)).view(self.dtype)
+        return flat.reshape(-1, per_tile)[:, : th * tw].reshape(-1, th, tw)
+
+    def _read_tiles(self, ti0: int, tj0: int,
+                    mask: np.ndarray) -> np.ndarray:
+        """The zero-padded tiles ``mask`` selects on the grid from
+        (ti0, tj0), in row-major order, as a fresh ``(n, th, tw)``
+        array.  Raw tiles move in one pool call; compressed ones are
+        decoded one tile at a time."""
+        if self.codec.name == "raw":
+            return self._read_raw_tiles(self._grid_blocks(ti0, tj0, mask))
+        return np.stack([self._read_full_tile(ti, tj)
+                         for ti, tj in self._grid_coords(ti0, tj0, mask)])
 
     def _read_full_tile(self, ti: int, tj: int) -> np.ndarray:
         """The decoded zero-padded (th, tw) tile.  May return a cached
         (read-only) array — callers must copy before mutating."""
         th, tw = self.tile_shape
         if self.codec.name == "raw":
-            return self._read_raw_tile(ti, tj)
+            return self._read_raw_tiles(self._blocks[ti, tj].tolist())[0]
         logical = th * tw * self.dtype.itemsize
         comp = self.tile_dir.get(self.linearization.index(ti, tj))
         if comp is None:
@@ -402,7 +447,7 @@ class TiledMatrix:
             return np.zeros((th, tw), dtype=self.dtype)
         if comp == 0:
             # Raw-fallback tile (incompressible at write time).
-            tile = self._read_raw_tile(ti, tj)
+            tile = self._read_raw_tiles(self._blocks[ti, tj].tolist())[0]
             self._charge_codec(logical, logical)
             return tile
         cached = self.store.tile_cache.get((self.name, ti, tj))
@@ -427,17 +472,23 @@ class TiledMatrix:
         full = np.zeros((th, tw), dtype=self.dtype)
         full[: r1 - r0, : c1 - c0] = vals
         if self.codec.name == "raw":
-            self._write_raw_tile(ti, tj, full)
+            self._write_raw_tiles(ti, tj, full[None, None])
         else:
             self._write_encoded_tile(ti, tj, full)
 
-    def _write_raw_tile(self, ti: int, tj: int,
-                        full: np.ndarray) -> None:
-        flat = full.reshape(-1).view(np.uint8)
-        per_page = self.store.device.block_size
-        for k, page in enumerate(self._tile_pages(ti, tj)):
-            chunk = flat[k * per_page: (k + 1) * per_page]
-            self.store.pool.put(self.file.block_of(page), chunk)
+    def _write_raw_tiles(self, ti0: int, tj0: int,
+                         tiles: np.ndarray) -> None:
+        """Install ``(a, b, th, tw)`` zero-padded tiles as the grid
+        block from (ti0, tj0), every page in one pool call."""
+        a, b, th, tw = tiles.shape
+        bs = self.store.device.block_size
+        pages = np.zeros((a, b, self.pages_per_tile * bs
+                          // self.dtype.itemsize), dtype=self.dtype)
+        # A view: the reshape only splits the last axis.
+        pages[:, :, : th * tw].reshape(a, b, th, tw)[...] = tiles
+        blocks = self._blocks[ti0: ti0 + a, tj0: tj0 + b].ravel().tolist()
+        self.store.pool.put_many(
+            zip(blocks, pages.view(np.uint8).reshape(-1, bs)))
 
     def _write_encoded_tile(self, ti: int, tj: int,
                             full: np.ndarray) -> None:
@@ -446,24 +497,23 @@ class TiledMatrix:
         logical = th * tw * self.dtype.itemsize
         pos = self.linearization.index(ti, tj)
         payload = self.codec.encode_tile(full)
-        pages = self._tile_pages(ti, tj)
-        if len(payload) > len(pages) * bs:
+        blocks = self._blocks[ti, tj].tolist()
+        if len(payload) > len(blocks) * bs:
             # The payload outgrew the tile's page span: store raw
             # (tile_dir length 0 is the fallback sentinel).
             self.tile_dir[pos] = 0
             self.store.tile_cache.invalidate((self.name, ti, tj))
-            self._write_raw_tile(ti, tj, full)
+            self._write_raw_tiles(ti, tj, full[None, None])
             self._charge_codec(logical, logical)
             return
         nb = -(-len(payload) // bs)
         buf = np.frombuffer(payload, dtype=np.uint8)
-        for k in range(nb):
-            self.store.pool.put(self.file.block_of(pages[k]),
-                                buf[k * bs: (k + 1) * bs])
+        self.store.pool.put_many(
+            (blocks[k], buf[k * bs: (k + 1) * bs]) for k in range(nb))
         # A shrinking payload strands stale higher pages in the pool;
         # drop them so they are neither flushed nor read back.
-        for page in pages[nb:]:
-            self.store.pool.invalidate(self.file.block_of(page))
+        for bid in blocks[nb:]:
+            self.store.pool.invalidate(bid)
         self.tile_dir[pos] = len(payload)
         full.flags.writeable = False
         self.store.tile_cache.put((self.name, ti, tj), full)
@@ -478,26 +528,25 @@ class TiledMatrix:
     # ------------------------------------------------------------------
     def read_submatrix(self, r0: int, r1: int, c0: int, c1: int
                        ) -> np.ndarray:
-        """Read an arbitrary aligned-or-not rectangle (touches its tiles)."""
-        if not (0 <= r0 <= r1 <= self.shape[0]
-                and 0 <= c0 <= c1 <= self.shape[1]):
-            raise IndexError(f"rectangle ({r0}:{r1}, {c0}:{c1}) out of range")
+        """Read an arbitrary aligned-or-not rectangle (touches its tiles).
+
+        The covering tiles are assembled in one padded grid and the
+        rectangle sliced out of it, which also drops the zero padding of
+        ragged edge tiles.
+        """
+        ti0, ti1, tj0, tj1 = self._tile_span(r0, r1, c0, c1)
         # The rectangle's tile footprint is exact and about to be read in
         # full — announce it so the misses coalesce into large I/Os.
         self.store.pool.prefetch(self.submatrix_blocks(r0, r1, c0, c1))
-        out = np.empty((r1 - r0, c1 - c0), dtype=self.dtype)
+        if r0 == r1 or c0 == c1:
+            return np.empty((r1 - r0, c1 - c0), dtype=self.dtype)
         th, tw = self.tile_shape
-        for ti in range(r0 // th, -(-r1 // th) if r1 else 0):
-            for tj in range(c0 // tw, -(-c1 // tw) if c1 else 0):
-                tr0, tr1, tc0, tc1 = self.tile_bounds(ti, tj)
-                ir0, ir1 = max(tr0, r0), min(tr1, r1)
-                ic0, ic1 = max(tc0, c0), min(tc1, c1)
-                if ir0 >= ir1 or ic0 >= ic1:
-                    continue
-                tile = self.read_tile(ti, tj)
-                out[ir0 - r0: ir1 - r0, ic0 - c0: ic1 - c0] = \
-                    tile[ir0 - tr0: ir1 - tr0, ic0 - tc0: ic1 - tc0]
-        return out
+        a, b = ti1 - ti0, tj1 - tj0
+        tiles = self._read_tiles(ti0, tj0, np.ones((a, b), dtype=bool))
+        grid = tiles.reshape(a, b, th, tw).transpose(0, 2, 1, 3).reshape(
+            a * th, b * tw)
+        r, c = ti0 * th, tj0 * tw
+        return np.ascontiguousarray(grid[r0 - r: r1 - r, c0 - c: c1 - c])
 
     def read_submatrix_view(self, r0: int, r1: int, c0: int, c1: int
                             ) -> np.ndarray:
@@ -524,12 +573,11 @@ class TiledMatrix:
                     and c0 // tw < self.grid[1]):
                 ti, tj = r0 // th, c0 // tw
                 if (r0, r1, c0, c1) == self.tile_bounds(ti, tj):
-                    blocks = self.tile_blocks(ti, tj)
-                    consecutive = all(
-                        blocks[k] == blocks[0] + k
-                        for k in range(1, len(blocks)))
-                    if consecutive and not store.pool.has_dirty(blocks):
-                        raw = store.device.block_view(blocks[0],
+                    blocks = self._blocks[ti, tj]
+                    consecutive = bool(np.all(np.diff(blocks) == 1))
+                    if consecutive and not store.pool.has_dirty(
+                            blocks.tolist()):
+                        raw = store.device.block_view(int(blocks[0]),
                                                       len(blocks))
                         flat = raw.view(self.dtype)[: th * tw]
                         return flat.reshape(th, tw)[: r1 - r0,
@@ -537,52 +585,62 @@ class TiledMatrix:
         return self.read_submatrix(r0, r1, c0, c1)
 
     def write_submatrix(self, r0: int, c0: int, values: np.ndarray) -> None:
+        """Write a rectangle in one pass over its covering tiles.
+
+        Tiles the rectangle only partially covers are read whole first;
+        the values are overlaid on one padded grid of every covering
+        tile, and the grid goes back tile by tile — for raw tiles, every
+        page in a single ``put_many``.
+        """
         vals = np.ascontiguousarray(values, dtype=self.dtype)
         r1 = r0 + vals.shape[0]
         c1 = c0 + vals.shape[1]
-        if not (0 <= r0 <= r1 <= self.shape[0]
-                and 0 <= c0 <= c1 <= self.shape[1]):
-            raise IndexError(f"rectangle ({r0}:{r1}, {c0}:{c1}) out of range")
+        ti0, ti1, tj0, tj1 = self._tile_span(r0, r1, c0, c1)
+        if vals.size == 0:
+            return
         th, tw = self.tile_shape
-        # Tiles the rectangle only partially covers are read-modify-
-        # written; announce that read footprint up front so the misses
-        # coalesce (and so a kernel span's sanitizer sees the reads as
-        # part of the declared footprint, not stray demand misses).
-        rmw_blocks: list[int] = []
-        for ti in range(r0 // th, -(-r1 // th) if r1 else 0):
-            for tj in range(c0 // tw, -(-c1 // tw) if c1 else 0):
-                tr0, tr1, tc0, tc1 = self.tile_bounds(ti, tj)
-                ir0, ir1 = max(tr0, r0), min(tr1, r1)
-                ic0, ic1 = max(tc0, c0), min(tc1, c1)
-                if ir0 >= ir1 or ic0 >= ic1:
-                    continue
-                if not (ir0 == tr0 and ir1 == tr1
-                        and ic0 == tc0 and ic1 == tc1):
-                    rmw_blocks.extend(self.tile_blocks(ti, tj))
-        if rmw_blocks:
-            self.store.pool.prefetch(rmw_blocks)
-        for ti in range(r0 // th, -(-r1 // th) if r1 else 0):
-            for tj in range(c0 // tw, -(-c1 // tw) if c1 else 0):
-                tr0, tr1, tc0, tc1 = self.tile_bounds(ti, tj)
-                ir0, ir1 = max(tr0, r0), min(tr1, r1)
-                ic0, ic1 = max(tc0, c0), min(tc1, c1)
-                if ir0 >= ir1 or ic0 >= ic1:
-                    continue
-                if ir0 == tr0 and ir1 == tr1 and ic0 == tc0 and ic1 == tc1:
-                    tile = np.empty((tr1 - tr0, tc1 - tc0),
-                                    dtype=self.dtype)
-                else:
-                    tile = self.read_tile(ti, tj)
-                tile[ir0 - tr0: ir1 - tr0, ic0 - tc0: ic1 - tc0] = \
-                    vals[ir0 - r0: ir1 - r0, ic0 - c0: ic1 - c0]
-                self.write_tile(ti, tj, tile)
+        rows = np.arange(ti0, ti1) * th
+        cols = np.arange(tj0, tj1) * tw
+        partial = (((rows < r0) | (np.minimum(rows + th, self.shape[0])
+                                   > r1))[:, None]
+                   | ((cols < c0) | (np.minimum(cols + tw, self.shape[1])
+                                     > c1))[None, :])
+        a, b = partial.shape
+        grid = np.zeros((a * th, b * tw), dtype=self.dtype)
+        # (a, b, th, tw) view of the grid, one entry per tile.
+        tiles = grid.reshape(a, th, b, tw).transpose(0, 2, 1, 3)
+        if partial.any():
+            # Announce the read-modify-write footprint up front so the
+            # misses coalesce (and so a kernel span's sanitizer sees the
+            # reads as part of the declared footprint, not stray demand
+            # misses).
+            self.store.pool.prefetch(self._grid_blocks(ti0, tj0, partial))
+            tiles[partial] = self._read_tiles(ti0, tj0, partial)
+        r, c = ti0 * th, tj0 * tw
+        grid[r0 - r: r1 - r, c0 - c: c1 - c] = vals
+        if self.codec.name == "raw":
+            self._write_raw_tiles(ti0, tj0, tiles)
+            return
+        for i, j in np.ndindex(a, b):
+            self._write_encoded_tile(ti0 + i, tj0 + j, tiles[i, j].copy())
 
     # ------------------------------------------------------------------
+    def _bands(self) -> Iterator[tuple[int, int, int, int]]:
+        """Tile-aligned rectangles covering the matrix one tile-row band
+        at a time; a band is split so its footprint stays within the
+        pool's capacity (one frame spare for demand faults)."""
+        th, tw = self.tile_shape
+        n1, n2 = self.shape
+        width = tw * max(1, (self.store.pool.capacity - 1)
+                         // self.pages_per_tile)
+        for r0 in range(0, n1, th):
+            for c0 in range(0, n2, width):
+                yield r0, min(r0 + th, n1), c0, min(c0 + width, n2)
+
     def to_numpy(self) -> np.ndarray:
         out = np.empty(self.shape, dtype=self.dtype)
-        for ti, tj in self.tiles():
-            r0, r1, c0, c1 = self.tile_bounds(ti, tj)
-            out[r0:r1, c0:c1] = self.read_tile(ti, tj)
+        for r0, r1, c0, c1 in self._bands():
+            out[r0:r1, c0:c1] = self.read_submatrix(r0, r1, c0, c1)
         return out
 
     def from_numpy(self, values: np.ndarray) -> "TiledMatrix":
@@ -590,14 +648,14 @@ class TiledMatrix:
         if vals.shape != self.shape:
             raise ValueError(
                 f"expected shape {self.shape}, got {vals.shape}")
-        for ti, tj in self.tiles():
-            r0, r1, c0, c1 = self.tile_bounds(ti, tj)
-            self.write_tile(ti, tj, vals[r0:r1, c0:c1])
+        for r0, r1, c0, c1 in self._bands():
+            self.write_submatrix(r0, c0, vals[r0:r1, c0:c1])
         return self
 
     def drop(self) -> None:
-        for page in range(self.file.num_pages):
-            self.store.pool.invalidate(self.file.block_of(page))
+        for bid in self._blocks.ravel().tolist():
+            self.store.pool.invalidate(bid)
+        self._blocks = self._blocks[:0, :0]
         self.store.tile_cache.invalidate_matrix(self.name)
         self.tile_dir.clear()
         self.file.drop()

@@ -140,6 +140,19 @@ class TestUnannouncedRead:
             pool.invalidate(block)
             pool.get(block)  # re-miss of a block this span wrote
 
+    def test_put_many_blocks_count_as_covered(self, sess):
+        pool, tracer = sess.store.pool, sess.store.tracer
+        blocks = [fresh_block(pool) for _ in range(3)]
+        frame = np.zeros(pool.device.block_size, dtype=np.uint8)
+        with tracer.span("kern", cat="kernel"):
+            pool.prefetch([fresh_block(pool)])  # span announces
+            pool.put_many((b, frame) for b in blocks)
+            for b in blocks:
+                pool.invalidate(b)
+            pool.get_many(blocks)  # re-misses of blocks it wrote
+            pool.invalidate(blocks[0])
+            pool.get(blocks[0])
+
     def test_unhinted_kernels_are_exempt(self, sess):
         # Kernels that stream foreign stores skip hinting entirely
         # (hinting=False); a span with zero announcements makes no

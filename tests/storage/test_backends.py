@@ -76,11 +76,36 @@ class TestFileBlockDevice:
         assert s.read_ns > 0 and s.write_ns > 0
         assert s.seconds == pytest.approx(
             (s.read_ns + s.write_ns) / 1e9)
+        # The first write grows the empty file once (ftruncate).
         if mode == "pread":
             # one coalesced run each way = one syscall each way
-            assert s.syscalls == 2
+            assert s.syscalls == 1 + 2
         else:
-            assert s.syscalls == 0  # memcpys against the mapping
+            assert s.syscalls == 1  # memcpys against the mapping
+        dev.close()
+
+    def test_transfers_issue_no_fstat(self, tmp_path, mode,
+                                      monkeypatch):
+        """The device tracks its file's length itself: once the file
+        has grown, reads and writes make no hidden ``fstat`` call."""
+        dev = FileBlockDevice(tmp_path / "pages.db", mode=mode)
+        first = dev.allocate(8)
+        data = _payload(8)
+        dev.write_block(first, data[0])  # grows the file
+        calls = []
+        real_fstat = os.fstat
+
+        def counting_fstat(fd):
+            calls.append(fd)
+            return real_fstat(fd)
+
+        monkeypatch.setattr(os, "fstat", counting_fstat)
+        for k in range(8):
+            dev.write_block(first + k, data[k])
+            assert np.array_equal(dev.read_block(first + k), data[k])
+        dev.write_blocks((first + k, data[k]) for k in range(8))
+        dev.read_blocks(range(first, first + 8))
+        assert calls == []
         dev.close()
 
     def test_reopen_with_sidecar_restores_manifest(self, tmp_path,

@@ -338,3 +338,89 @@ class TestGetManyEvictionRace:
         frames = pool.get_many(blocks[1:] + [blocks[0]])
         values = [f.view(np.float64)[0] for f in frames]
         assert values == [1.0, 2.0, 3.0, 4.0, 5.0, 0.0]
+
+
+class TestDuplicateIds:
+    def test_get_many_counts_every_occurrence_fetches_once(self, device):
+        blocks = _fill_device(device, 3)
+        pool = BufferPool(device, 8)
+        reads = device.stats.reads
+        ids = [blocks[0], blocks[1], blocks[0], blocks[2], blocks[1],
+               blocks[0]]
+        frames = pool.get_many(ids)
+        assert [f.view(np.float64)[0] for f in frames] == \
+            [0.0, 1.0, 0.0, 2.0, 1.0, 0.0]
+        assert (pool.stats.misses, pool.stats.hits) == (3, 3)
+        assert device.stats.reads == reads + 3
+
+    def test_prefetch_fetches_each_block_once(self, device):
+        blocks = _fill_device(device, 2)
+        pool = BufferPool(device, 8)
+        reads = device.stats.reads
+        assert pool.prefetch([blocks[1], blocks[0], blocks[1],
+                              blocks[0]]) == 2
+        assert device.stats.reads == reads + 2
+
+
+class TestPutMany:
+    @staticmethod
+    def _payload(bs, value):
+        return np.full(bs // 8, float(value)).view(np.uint8)
+
+    def test_matches_a_loop_of_put(self):
+        """Per-block accounting, replacement and the data that reaches
+        the device are those of calling put once per item; only the
+        number of write calls may shrink."""
+        rng = np.random.default_rng(7)
+        devices = [BlockDevice(block_size=512) for _ in range(2)]
+        pools = [BufferPool(dev, 4) for dev in devices]
+        for dev in devices:
+            dev.allocate(12)
+        for step in range(300):
+            ids = rng.integers(0, 12, size=int(rng.integers(1, 7)))
+            items = [(int(b), self._payload(512, step * 100 + k))
+                     for k, b in enumerate(ids)]
+            for bid, data in items:
+                pools[0].put(bid, data)
+            pools[1].put_many(items)
+            if step % 5 == 0:
+                probe = int(rng.integers(0, 12))
+                for pool in pools:
+                    pool.get(probe)
+        for pool in pools:
+            pool.flush_all()
+        loop, batch = (dev.stats for dev in devices)
+        assert pools[0].stats == pools[1].stats
+        assert (batch.reads, batch.writes) == (loop.reads, loop.writes)
+        assert batch.write_calls < loop.write_calls
+        for bid in range(12):
+            assert np.array_equal(devices[0].read_block(bid),
+                                  devices[1].read_block(bid))
+
+    def test_dirty_victims_share_one_write_back(self, device):
+        first = device.allocate(8)
+        pool = BufferPool(device, 4)
+        pool.put_many((first + k, self._payload(device.block_size, k))
+                      for k in range(8))
+        # The first four frames were evicted dirty to make room for the
+        # last four: one coalesced device write moves all of them.
+        assert device.stats.writes == 4
+        assert device.stats.write_calls == 1
+        assert pool.stats.dirty_writebacks == 4
+        assert device.read_floats(first + 3)[0] == 3.0
+
+    def test_victim_put_again_in_the_same_call(self, device):
+        first = device.allocate(3)
+        a, b, c = first, first + 1, first + 2
+        bs = device.block_size
+        pool = BufferPool(device, 2)
+        pool.put(a, self._payload(bs, 1))
+        pool.put(b, self._payload(bs, 2))
+        # c evicts a; re-putting a then evicts b.  The old contents of a
+        # reach the device first, the new ones on flush.
+        pool.put_many([(c, self._payload(bs, 3)), (a, self._payload(bs, 4))])
+        assert device.read_floats(a)[0] == 1.0
+        assert device.read_floats(b)[0] == 2.0
+        pool.flush_all()
+        assert device.read_floats(a)[0] == 4.0
+        assert device.read_floats(c)[0] == 3.0

@@ -9,6 +9,7 @@ The suite also runs under ``REPRO_SANITIZE=1`` in the CI parallel job.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -141,6 +142,52 @@ class TestConcurrentWrites:
             for i in range(per_thread):
                 bid = first + t * per_thread + i
                 assert device.read_block(bid)[0] == t * 16 + i
+
+    def test_batched_puts_under_eviction_pressure(self, device):
+        """Threads ``put_many`` disjoint blocks through a pool far
+        smaller than their union, reading each batch back at once.  A
+        victim's write-back deferred past a later read of it would
+        return stale data; after a flush the device holds every
+        block's last value and each evicted dirty frame was written
+        exactly once."""
+        nthreads, per_thread, rounds = 4, 10, 40
+        first = device.allocate(nthreads * per_thread)
+        pool = BufferPool(device, 6)
+        writes_before = device.stats.writes
+        last: dict[int, int] = {}
+
+        def writer(t: int):
+            rng = np.random.default_rng(t)
+
+            def run():
+                mine = [first + t * per_thread + i
+                        for i in range(per_thread)]
+                for r in range(rounds):
+                    picks = rng.choice(mine, size=int(rng.integers(1, 5)),
+                                       replace=False).tolist()
+                    value = (t * rounds + r) % 251
+                    pool.put_many(
+                        (bid, np.full(device.block_size, value,
+                                      dtype=np.uint8)) for bid in picks)
+                    for bid in picks:
+                        last[bid] = value
+                    probe = mine[int(rng.integers(0, per_thread))]
+                    if probe in last:
+                        assert pool.get(probe)[0] == last[probe]
+            return run
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _run_threads([writer(t) for t in range(nthreads)])
+        finally:
+            sys.setswitchinterval(old_interval)
+        pool.flush_all()
+        assert (device.stats.writes - writes_before
+                == pool.stats.dirty_writebacks)
+        pool.clear()
+        for bid, value in last.items():
+            assert device.read_block(bid)[0] == value
 
     def test_latched_mutation_then_flush(self, device):
         blocks = _fill_device(device, 4)
